@@ -1,0 +1,28 @@
+// The benchmark's one allocation probe: global operator new counts every
+// allocation, and Tracer spans difference the counter. Linked into every
+// perfbench binary (and nothing else in the repository).
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "trace.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+std::uint64_t perfbench::allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
