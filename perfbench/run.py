@@ -15,7 +15,7 @@ import re
 import subprocess
 import sys
 
-WORKLOADS = ("wan1k_boot", "ebone_faults", "fattree16_churn")
+WORKLOADS = ("wan1k_boot", "ebone_faults")
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 

@@ -193,6 +193,9 @@ std::string check_trial(const WorkloadSpec& w, const TrialResult& t) {
     if (!(t.layers.evictions + t.layers.overflow_rejects > 0)) {
       return "table capacity never bit";
     }
+    if (t.layers.rule_owner_evictions > 0) {
+      return "table capacity displaced management rules";
+    }
   }
   return "";
 }

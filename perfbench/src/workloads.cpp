@@ -282,6 +282,7 @@ LayerCounts read_layers(sim::Experiment& exp) {
     l.installs += d(fs.installs);
     l.evictions += d(fs.flow_evictions);
     l.overflow_rejects += d(fs.overflow_rejects);
+    l.rule_owner_evictions += d(sw->rule_table().evictions());
   }
   return l;
 }
@@ -328,7 +329,7 @@ void run_faults(sim::Experiment& exp, const WorkloadSpec& w,
 
 const std::vector<std::string>& workload_names() {
   static const std::vector<std::string> names = {
-      "wan1k_boot", "ebone_faults", "fattree16_churn"};
+      "wan1k_boot", "ebone_faults"};
   return names;
 }
 
@@ -343,12 +344,12 @@ bool workload_by_name(const std::string& name, WorkloadSpec& out) {
     w.fault_cycles = 1;
     w.steady = msec(250);
     w.limit = sec(30);
-  } else if (name == "fattree16_churn") {
-    w.topology = "fat_tree:k=16";
-    w.churn_rate = 80'000;
+    // 3,000 entries clear the hottest switch's management rules (at most
+    // ~2,350 over 60 boots) and still make the churn evict in every trial.
+    w.churn_rate = 30'000;
     w.churn_mean_duration = msec(150);
-    w.churn_start = msec(500);
-    w.churn_window = sec(1);
+    w.churn_start = msec(1000);
+    w.churn_window = msec(500);
     w.table_capacity = 3'000;
   } else {
     return false;
@@ -410,20 +411,24 @@ TrialResult run_trial(const WorkloadSpec& w, std::uint64_t run_seed,
     ControllerProbes probes(*exp, tracer);
     out.checkpoints.push_back(
         converge(*exp, tracer, "phase.boot", "bootstrap", w.limit));
-    if (w.fault_cycles > 0) run_faults(*exp, w, out.seed, tracer, out);
+    // Outlives the window: its last scheduled tick fires later and does
+    // nothing, as in the runner.
+    std::unique_ptr<ChurnLoop> churn;
     if (w.churn_rate > 0) {
       run_to(*exp, tracer, "phase.steady", w.churn_start);
       Scope p(tracer, "phase.churn");
       const std::int64_t c0 = now_ns();
-      ChurnLoop churn(*exp, w, out.seed, tracer);
+      churn = std::make_unique<ChurnLoop>(*exp, w, out.seed, tracer);
       {
         Scope s(tracer, "sim.run");
         exp->sim().run_until(w.churn_start + w.churn_window);
       }
-      churn.stop();
+      churn->stop();
       out.churn_wall_s = seconds_since(c0);
-      out.churn_arrivals = churn.arrivals();
+      out.churn_arrivals = churn->arrivals();
+      out.churn_fingerprint = exp->sim().counters().fingerprint();
     }
+    if (w.fault_cycles > 0) run_faults(*exp, w, out.seed, tracer, out);
     out.run_wall_s = seconds_since(t0);
     out.run_sim_s = to_seconds(exp->sim().now());
     out.fingerprint = exp->sim().counters().fingerprint();
@@ -508,7 +513,9 @@ std::string churn_parity(const WorkloadSpec& w, std::uint64_t run_seed,
   cmp("installs", bench.layers.installs, r.tbl_installs);
   cmp("evictions", bench.layers.evictions, r.tbl_evictions);
   cmp("overflow_rejects", bench.layers.overflow_rejects, r.tbl_overflows);
-  if (bench.fingerprint != r.counters_fp) diff += "counters fingerprint; ";
+  if (bench.churn_fingerprint != r.counters_fp) {
+    diff += "counters fingerprint; ";
+  }
   return diff;
 }
 

@@ -1,4 +1,4 @@
-// The benchmark's three workloads, driven only through the library's public
+// The benchmark's workloads, driven only through the library's public
 // entry points (topo::resolve, sim::Experiment, the faults:: injectors,
 // flows::ChurnGenerator, switchd::RuleTable, the controller probes), each
 // wrapped in a span so the traced run can attribute time to layers.
@@ -24,11 +24,12 @@ struct WorkloadSpec {
   std::string topology;
   int kappa = 2;
   ren::Time limit = ren::sec(60);  ///< per-checkpoint simulated-time bound
-  /// ebone_faults: recovery cycles (each: fail links, restore, kill a
-  /// controller, restart it) with `steady` of quiet time after every episode.
+  /// Recovery cycles (each: fail links, restore, kill a controller, restart
+  /// it) with `steady` of quiet time after every episode.
   int fault_cycles = 0;
   ren::Time steady = 0;
-  /// fattree16_churn: churn window [churn_start, churn_start + churn_window).
+  /// Churn window [churn_start, churn_start + churn_window), after the boot
+  /// and before the recovery cycles.
   double churn_rate = 0;  ///< flow arrivals per simulated second
   ren::Time churn_mean_duration = 0;
   ren::Time churn_start = 0;
@@ -69,6 +70,9 @@ struct LayerCounts {
   double events = 0, packets_delivered = 0, drops = 0, control_bytes = 0;
   double retransmissions = 0, lookups = 0;
   double installs = 0, evictions = 0, overflow_rejects = 0;
+  /// Management rule lists displaced by the table limit (must stay 0: the
+  /// limit is sized to press only on flow entries).
+  double rule_owner_evictions = 0;
 };
 
 struct TrialResult {
@@ -81,6 +85,8 @@ struct TrialResult {
   double churn_wall_s = 0;
   double churn_arrivals = 0;
   std::uint64_t fingerprint = 0;  ///< Simulator::counters().fingerprint()
+  /// The same fingerprint when the churn window closed (churn workloads).
+  std::uint64_t churn_fingerprint = 0;
   LayerCounts layers;
 };
 

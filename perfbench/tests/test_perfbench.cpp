@@ -179,6 +179,26 @@ TEST(ChurnLoop, AgreesWithScenarioRunTrial) {
   EXPECT_EQ(churn_parity(w, 7, 0, t), "");
 }
 
+TEST(ChurnLoop, ParityHoldsWhenRecoveryCyclesFollow) {
+  // The ebone_faults order: boot, churn window, then faults. The loop's last
+  // tick fires during the recovery cycle and must find the loop alive.
+  WorkloadSpec w = small_churn();
+  w.fault_cycles = 1;
+  w.steady = ren::msec(100);
+  // 120 entries fit the boot's rule lists but not the recovery's.
+  w.table_capacity = 200;
+  Tracer off(false);
+  const TrialResult t = run_trial(w, 7, 0, off);
+  ASSERT_TRUE(t.ok) << t.error;
+  ASSERT_EQ(t.checkpoints.size(), 5u);
+  for (const Checkpoint& cp : t.checkpoints) {
+    EXPECT_TRUE(cp.converged) << cp.label;
+  }
+  EXPECT_EQ(t.layers.rule_owner_evictions, 0);
+  EXPECT_NE(t.fingerprint, t.churn_fingerprint);
+  EXPECT_EQ(churn_parity(w, 7, 0, t), "");
+}
+
 TEST(Tracing, DoesNotPerturbTheSimulation) {
   WorkloadSpec w;
   ASSERT_TRUE(workload_by_name("ebone_faults", w));
